@@ -1,4 +1,4 @@
-//! Regenerate `BENCH_pr9.json` (the GCD campaign before/after benchmark)
+//! Regenerate `BENCH_pr9.json` (the GCD campaign benchmark)
 //! at a chosen scale, without running the full `run_all` suite.
 //!
 //! ```text
@@ -20,20 +20,19 @@ fn main() {
     let artifacts = Artifacts::new(scale);
     let gcd = laces_bench::run_gcd_bench(&artifacts);
     eprintln!(
-        "gcd campaign: before {:.0} probes/s, after {:.0} probes/s, speedup {:.2}x \
-         (target {:.0}x), fingerprints match: {}, chunk invariant: {}, target met: {}",
-        gcd.before_probes_per_s,
-        gcd.after_probes_per_s,
-        gcd.speedup,
-        gcd.target_speedup,
-        gcd.fingerprint_match,
-        gcd.chunk_invariant,
-        gcd.target_met
+        "gcd campaign: {:.0} probes/s, reruns match: {}, chunk invariant: {}, target met: {}",
+        gcd.after_probes_per_s, gcd.fingerprint_match, gcd.chunk_invariant, gcd.target_met
     );
+    if let Some(r) = &gcd.reference_anchor {
+        eprintln!(
+            "reference anchor: {:.2}x (target {:.0}x), fingerprint match: {}",
+            r.speedup, gcd.target_speedup, r.fingerprint_match
+        );
+    }
     if let Some(fp) = &gcd.full_platform {
         eprintln!(
-            "full platform: {} targets, {} probes, speedup {:.2}x, fingerprints match: {}",
-            fp.n_targets, fp.probes_sent, fp.speedup, fp.fingerprint_match
+            "full platform: {} targets, {} probes, {:.1} ms, reruns match: {}",
+            fp.n_targets, fp.probes_sent, fp.wall_ms, fp.fingerprint_match
         );
     }
     std::fs::write(&out_path, gcd.to_json()).expect("BENCH_pr9.json writes");

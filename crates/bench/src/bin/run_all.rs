@@ -83,19 +83,14 @@ fn main() {
     eprintln!("wrote {}", pr5_path.display());
 
     // Sharded-streamer benchmark on the same workload: invariance
-    // fingerprints across shard counts plus throughput vs the retained
-    // threaded single-streamer pipeline. At the Huge scale this also runs
-    // a full synthetic-hitlist census day end-to-end.
+    // fingerprints across shard counts plus throughput vs the frozen pr4
+    // anchors (Mid scale). At the Huge scale this also runs a full
+    // synthetic-hitlist census day end-to-end.
     eprintln!("\n========== perf: sharded streaming ==========");
     let sharding = laces_bench::run_sharding_bench(&artifacts);
     eprintln!(
-        "single-streamer {:.0} probes/s; best sharded ({} shards) {:.0} probes/s, speedup {:.2}x (target {:.0}x), fingerprints match: {}",
-        sharding.single_streamer_probes_per_s,
-        sharding.best_shards,
-        sharding.best_probes_per_s,
-        sharding.speedup,
-        sharding.target_speedup,
-        sharding.fingerprint_match
+        "best sharded ({} shards) {:.0} probes/s, fingerprints match across shard counts: {}",
+        sharding.best_shards, sharding.best_probes_per_s, sharding.fingerprint_match
     );
     if let Some(anchor) = &sharding.pr4_anchor {
         eprintln!(
@@ -146,24 +141,25 @@ fn main() {
     std::fs::write(&pr7_path, query.to_json()).expect("write query bench file");
     eprintln!("wrote {}", pr7_path.display());
 
-    // GCD campaign before/after benchmark: the memoized-geometry fast
-    // engine vs the retained pre-PR9 reference, identical fingerprints
-    // required, plus chunk-count invariance at bench scale.
-    eprintln!("\n========== perf: GCD campaign before/after ==========");
+    // GCD campaign benchmark: the shipped engine's throughput, rerun and
+    // chunk-count invariance at bench scale, and (Huge) the speedup over
+    // the original engine's frozen numbers.
+    eprintln!("\n========== perf: GCD campaign ==========");
     let gcd = laces_bench::run_gcd_bench(&artifacts);
     eprintln!(
-        "before {:.0} probes/s, after {:.0} probes/s, speedup {:.2}x (target {:.0}x), fingerprints match: {}, chunk invariant: {}",
-        gcd.before_probes_per_s,
-        gcd.after_probes_per_s,
-        gcd.speedup,
-        gcd.target_speedup,
-        gcd.fingerprint_match,
-        gcd.chunk_invariant
+        "{:.0} probes/s, reruns match: {}, chunk invariant: {}",
+        gcd.after_probes_per_s, gcd.fingerprint_match, gcd.chunk_invariant
     );
+    if let Some(r) = &gcd.reference_anchor {
+        eprintln!(
+            "reference anchor: {:.2}x (target {:.0}x), fingerprint match: {}",
+            r.speedup, gcd.target_speedup, r.fingerprint_match
+        );
+    }
     if let Some(fp) = &gcd.full_platform {
         eprintln!(
-            "full platform: {} targets, {} probes, speedup {:.2}x, fingerprints match: {}",
-            fp.n_targets, fp.probes_sent, fp.speedup, fp.fingerprint_match
+            "full platform: {} targets, {} probes, {:.1} ms, reruns match: {}",
+            fp.n_targets, fp.probes_sent, fp.wall_ms, fp.fingerprint_match
         );
     }
     let pr9_path = std::path::Path::new(&out_path)

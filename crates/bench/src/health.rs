@@ -124,13 +124,6 @@ fn overhead_pct(baseline: f64, measured: f64) -> f64 {
     }
 }
 
-/// Faster of two runs (first doubles as warm-up), `BENCH_pr4` style.
-fn best_of(mut run: impl FnMut() -> f64) -> f64 {
-    let first = run();
-    let second = run();
-    first.min(second)
-}
-
 /// The `health` section of `BENCH_pr10.json`.
 #[derive(Debug, Clone)]
 pub struct HealthBench {
@@ -276,11 +269,18 @@ pub fn run_health_bench(a: &Artifacts) -> HealthBench {
         probes_sent = sent;
         sent as f64 / t0.elapsed().as_secs_f64()
     };
-    let baseline_probes_per_s = best_of(|| timed(None)).max(1.0);
+    // Interleaved repeats, fastest of each kept: load from whatever else
+    // shares the host drifts over the measurement, and interleaving lands
+    // that drift on every side alike instead of on one phase.
     let disabled = Monitor::disabled();
-    let disabled_probes_per_s = best_of(|| timed(Some(&disabled)));
     let enabled = Monitor::new(MonitorConfig::every_ms(1_000));
-    let enabled_probes_per_s = best_of(|| timed(Some(&enabled)));
+    let (mut baseline_probes_per_s, mut disabled_probes_per_s, mut enabled_probes_per_s) =
+        (1.0f64, 0.0f64, 0.0f64);
+    for _ in 0..3 {
+        baseline_probes_per_s = baseline_probes_per_s.max(timed(None));
+        disabled_probes_per_s = disabled_probes_per_s.max(timed(Some(&disabled)));
+        enabled_probes_per_s = enabled_probes_per_s.max(timed(Some(&enabled)));
+    }
     let enabled_ticks = {
         let outcome = run_measurement(&a.world, &spec).expect("valid spec");
         enabled.observe(&spec, &outcome).ticks.len() as u64

@@ -1,8 +1,8 @@
 //! Indexed query-service benchmark: `BENCH_pr7.json`.
 //!
-//! PR 7 replaced the eager `CensusQuery`/`load_all` read path with
-//! `laces-query`: per-day binary index sidecars written at `save` time and
-//! a lazily-loading [`QueryService`] handle. This module proves the two
+//! `laces-query` replaced the eager whole-corpus read path with
+//! per-day binary index sidecars written at `save` time and a
+//! lazily-loading [`QueryService`] handle. This module proves the two
 //! tentpole claims in one run:
 //!
 //! - **latency without deserialisation** — millions of mixed point lookups
@@ -12,11 +12,11 @@
 //!   [`TARGET_POINT_US`] per-lookup floor, while the service's own
 //!   telemetry shows it read only a small fraction of the published bytes;
 //! - **equivalence** — on fully-loaded reference days, every query kind is
-//!   byte-identical (via the serialised JSON answer) to the deprecated
-//!   eager path: `record_json` against the published JSONL line,
-//!   `history`/`daily_confirmed_counts` against `CensusQuery`,
-//!   `asn_ranking` against `rank_census_day`, `diff` against
-//!   `census::diff`, and `sites` against an in-memory recompute.
+//!   byte-identical (via the serialised JSON answer) to an eager answer
+//!   from the loaded days: `record_json` against the published JSONL
+//!   line, `history`/`daily_confirmed_counts`/`sites` against an
+//!   in-memory recompute, `asn_ranking` against `rank_census_day`, and
+//!   `diff` against `census::diff`.
 //!
 //! The corpus is synthetic and fully deterministic (integer-hash derived,
 //! no RNG): at the `Huge` scale it is a 56-day longitudinal census with
@@ -230,17 +230,17 @@ fn synth_day(day: u32, universe: u32) -> DailyCensus {
 }
 
 /// The equivalence section: every query kind checked byte-identical (via
-/// serialised JSON) against the deprecated eager path on fully-loaded
-/// reference days.
+/// serialised JSON) against an eager answer from fully-loaded reference
+/// days.
 #[derive(Debug, Clone)]
 pub struct Equivalence {
     /// Days loaded eagerly for the comparison.
     pub days_checked: usize,
     /// `record_json` == the day file's own serialised record, every record.
     pub record_json_match: bool,
-    /// `history` == `CensusQuery::prefix_history` on the same day set.
+    /// `history` == the in-memory recompute over the same day set.
     pub history_match: bool,
-    /// `daily_confirmed_counts` == `CensusQuery::daily_confirmed_counts`.
+    /// `daily_confirmed_counts` == the in-memory recompute.
     pub counts_match: bool,
     /// `asn_ranking` == `rank_census_day` on the loaded day.
     pub ranking_match: bool,
@@ -456,8 +456,6 @@ fn equivalence_check(store: &CensusStore, days: &[u32]) -> Equivalence {
         .iter()
         .map(|&d| store.load(d).expect("reference day loads"))
         .collect();
-    #[allow(deprecated)]
-    let eager = laces_census::CensusQuery::new(loaded.clone());
     let mut qs = store
         .query()
         .days(ref_days.iter().copied())
@@ -507,11 +505,25 @@ fn equivalence_check(store: &CensusStore, days: &[u32]) -> Equivalence {
     probes.sort_unstable();
     probes.dedup();
     for p in probes {
-        history_match &= qs.history(p).expect("indexed history") == eager.prefix_history(p);
+        let want: Vec<(u32, bool, bool)> = loaded
+            .iter()
+            .map(|c| {
+                let r = c.records.get(&p);
+                (
+                    c.day,
+                    r.is_some_and(|r| r.anycast_based_positive()),
+                    r.is_some_and(|r| r.gcd_confirmed()),
+                )
+            })
+            .collect();
+        history_match &= qs.history(p).expect("indexed history") == want;
     }
 
-    let counts_match =
-        qs.daily_confirmed_counts().expect("indexed counts") == eager.daily_confirmed_counts();
+    let want_counts: BTreeMap<u32, usize> = loaded
+        .iter()
+        .map(|c| (c.day, c.gcd_confirmed().len()))
+        .collect();
+    let counts_match = qs.daily_confirmed_counts().expect("indexed counts") == want_counts;
 
     let diff_match = if loaded.len() >= 2 {
         let got = qs.diff(ref_days[0], ref_days[1]).expect("indexed diff");

@@ -9,7 +9,8 @@
 //!   results, surviving worker failures;
 //! * the **Workers** ([`worker`]) probe and capture at each anycast site,
 //!   validating every captured reply against the probe metadata echoed by
-//!   the target and streaming records back immediately.
+//!   the target; the Orchestrator runs each worker's probe → capture
+//!   chain inline, per hitlist shard.
 //!
 //! Classification ([`classify`]) turns an aggregated outcome into the
 //! anycast-based verdict per prefix (unicast / anycast / unresponsive plus
@@ -63,11 +64,8 @@ pub use classify::{AnycastClassification, Class};
 pub use error::MeasurementError;
 pub use fault::{FaultPlan, OrderChannelFault, WorkerCrash};
 pub use laces_obs::{Degraded, DegradedReason, RunReport};
-#[allow(deprecated)]
-pub use orchestrator::ReservedIdError;
 pub use orchestrator::{
-    run_measurement, run_measurement_abortable, run_measurement_threaded,
-    run_measurement_threaded_abortable, run_with_precheck, AbortHandle, PRECHECK_ID_BIT,
+    run_measurement, run_measurement_abortable, run_with_precheck, AbortHandle, PRECHECK_ID_BIT,
 };
 pub use results::{MeasurementOutcome, ProbeRecord, WorkerHealth, WorkerStatus, WorkerTelemetry};
 pub use spec::{MeasurementSpec, MeasurementSpecBuilder};

@@ -6,29 +6,27 @@
 //! stream, and survives worker failures by completing the measurement with
 //! the remaining workers (R5).
 //!
-//! Two pipelines implement the same contract:
+//! One pipeline implements the contract ([`run_measurement`]): the
+//! hitlist is split into `spec.shards` deterministic contiguous slices;
+//! each shard runs the stream → probe → capture chain *inline* with its
+//! own per-worker [`ProbeSession`]s, batch accumulators and
+//! [`RecordArena`], and the arenas are merged exactly once at seal time.
+//! No channels, no cross-shard locks on the hot path.
 //!
-//! * **Sharded** ([`run_measurement`]) — the default. The hitlist is split
-//!   into `spec.shards` deterministic contiguous slices; each shard runs
-//!   the stream → probe → capture chain *inline* with its own per-worker
-//!   [`ProbeSession`]s, batch accumulators and [`RecordArena`], and the
-//!   arenas are merged exactly once at seal time. No channels, no
-//!   cross-shard locks on the hot path.
-//! * **Threaded** ([`run_measurement_threaded`]) — the process-shaped
-//!   reference: each Worker is an OS thread and the streams are
-//!   `crossbeam` channels, which mirrors the real system's concurrency
-//!   structure (streaming, backpressure, failure isolation).
-//!
-//! Both produce bit-identical outcomes for abort-free fault plans, and the
-//! sharded pipeline additionally produces byte-identical records,
-//! classification inputs, telemetry and trace exports across shard counts:
-//! every per-order decision (rate window, fault cutoffs, RNG draws, trace
-//! sampling) is a pure function of the order's *global hitlist index* and
-//! per-probe coordinates, never of shard layout or thread interleaving,
-//! and records are canonically re-sorted at seal time. The only
-//! shard-dependent outputs are quarantined in
-//! [`MeasurementOutcome::shard_report`] and the opt-in
+//! Records, classification inputs, telemetry and trace exports are
+//! byte-identical across shard counts: every per-order decision (rate
+//! window, fault cutoffs, RNG draws, trace sampling) is a pure function of
+//! the order's *global hitlist index* and per-probe coordinates, never of
+//! shard layout or thread interleaving, and records are canonically
+//! re-sorted at seal time. The only shard-dependent outputs are
+//! quarantined in [`MeasurementOutcome::shard_report`] and the opt-in
 //! [`TraceEvent::ShardSpan`] events.
+//!
+//! The process-shaped form of the same contract — each Worker an OS
+//! thread, the streams `crossbeam` channels, captures taking the full
+//! reply byte round trip — is kept as a test-only oracle in
+//! `orchestrator::threaded`, which pins the sharded pipeline
+//! bit-identical to it for abort-free fault plans.
 //!
 //! Every run assembles a [`RunReport`]: aggregate and per-worker counters,
 //! the RTT distribution, a stage timing on the simulated clock, and the
@@ -40,12 +38,10 @@ use std::net::IpAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel;
 use laces_netsim::wire::{BatchProbe, FabricVerdict, MeasurementCtx, ProbeSource};
 use laces_netsim::{platform as plat, Delivery, FabricStats, ProbeSession, WireStats, World};
 use laces_obs::{
-    metrics, names, Counter, DegradedReason, Histogram, RunReport, ShardStages, SimClock,
-    StageTimer,
+    metrics, names, DegradedReason, Histogram, RunReport, ShardStages, SimClock, StageTimer,
 };
 use laces_packet::probe::{attribute_prepared, parse_reply, ProbeMeta};
 use laces_packet::{IpVersion, PrefixKey};
@@ -55,16 +51,13 @@ use crate::auth::{AuthKey, Sealed};
 use crate::error::MeasurementError;
 use crate::rate::window_start_ms;
 use crate::results::{
-    MeasurementOutcome, ProbeRecord, RecordArena, WorkerEvent, WorkerFailure, WorkerHealth,
-    WorkerStatus, WorkerTelemetry,
+    MeasurementOutcome, ProbeRecord, RecordArena, WorkerHealth, WorkerStatus, WorkerTelemetry,
 };
 use crate::spec::MeasurementSpec;
-use crate::worker::{run_worker, ProbeBatch, ProbeOrder, StartOrder, WorkerOut};
+use crate::worker::{ProbeOrder, StartOrder};
 
-/// How many orders may queue per worker before the hitlist stream blocks
-/// (the paper's Orchestrator buffers the hitlist and streams it; workers
-/// keep only a small in-flight window). Threaded pipeline only.
-const ORDER_QUEUE: usize = 4_096;
+#[cfg(test)]
+mod threaded;
 
 /// Measurement ids with this bit set are reserved for the internal
 /// precheck pass of [`run_with_precheck`]; user measurements must stay
@@ -295,8 +288,9 @@ struct RunTotals {
 }
 
 /// The shared measurement epilogue: canonical sorts, stream counters,
-/// abort accounting, the RTT distribution and the stage span — identical
-/// for both pipelines so their outcomes stay comparable field by field.
+/// abort accounting, the RTT distribution and the stage span — shared with
+/// the test-only threaded oracle so outcomes stay comparable field by
+/// field.
 fn finalize_outcome(
     spec: &MeasurementSpec,
     n_workers: usize,
@@ -374,7 +368,7 @@ fn finalize_outcome(
     }
 }
 
-/// The canonical record sort shared by both pipelines.
+/// The canonical record sort.
 pub(crate) fn sort_canonical(records: &mut [ProbeRecord]) {
     records.sort_unstable_by(|a, b| {
         (
@@ -407,7 +401,8 @@ enum CaptureMode {
     /// depends on whether the crash point is actually reached, which is
     /// only known once the stream ends. Buffer them; a surviving worker
     /// drains the buffer in the final phase, a crashed one loses it —
-    /// exactly the threaded pipeline's deferred-drain semantics.
+    /// exactly the deferred-drain semantics of a worker process scheduled
+    /// to crash.
     Deferred,
     /// The worker's start order failed authentication: it never runs, and
     /// deliveries to it vanish like packets to a dead site.
@@ -441,9 +436,9 @@ struct WorkerPlan {
 impl WorkerPlan {
     fn of(spec: &MeasurementSpec, world: &World, wid: u16, src_addr: IpAddr, span_ms: u64) -> Self {
         let sender = spec.is_sender(wid);
-        // Authentication is exercised for real, exactly as the threaded
-        // pipeline does: seal a start order (under a corrupted key when the
-        // fault plan says so) and try to open it with the worker's key.
+        // Authentication is exercised for real, exactly as a worker process
+        // does: seal a start order (under a corrupted key when the fault
+        // plan says so) and try to open it with the worker's key.
         let key = AuthKey::derive(world.cfg.seed ^ u64::from(spec.id));
         let seal_key = if spec.faults.rejects_seal(wid) {
             AuthKey::derive(world.cfg.seed ^ u64::from(spec.id) ^ 0x0BAD_5EA1)
@@ -539,7 +534,9 @@ impl<'a> CaptureSink<'a> {
     }
 
     /// Validate one capture at worker `rx` and accumulate the record —
-    /// the inline analogue of the threaded worker's capture filter.
+    /// the worker's capture filter: anything that is not a reply to this
+    /// measurement (other measurements, backscatter) is counted as
+    /// rejected and produces no record.
     fn capture(&mut self, d: &Delivery, rx: usize) {
         let rx_worker = worker_wire_id(rx);
         let prefix = PrefixKey::of(d.packet.src);
@@ -780,14 +777,6 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
     }
 
     // Stream the shard's slice at the schedule's global rate windows.
-    // `last_window` is seeded from the last index *before* the slice, so
-    // summing per-shard stall counts reproduces the single-streamer count
-    // of window transitions exactly.
-    let mut last_window = if lo == 0 {
-        0
-    } else {
-        window_start_ms(lo - 1, spec.rate_per_s)
-    };
     let mut aborted = false;
     for i in lo..hi {
         if cx.abort.is_aborted() {
@@ -799,10 +788,6 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
         }
         let target = spec.targets[i];
         let window = window_start_ms(i, spec.rate_per_s);
-        if window > last_window {
-            orders_streamed += 0; // (stalls counted below; keep shape flat)
-            last_window = window;
-        }
         let prefix = PrefixKey::of(target);
         for w in 0..n_workers {
             let plan = &cx.plans[w];
@@ -854,8 +839,8 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
             }
         }
     }
-    // End of slice: flush the partial tail batches (unless aborted — the
-    // threaded streamer drops accumulated batches on abort too).
+    // End of slice: flush the partial tail batches (unless aborted — an
+    // abort drops accumulated batches).
     if !aborted {
         for w in 0..n_workers {
             flush!(w);
@@ -864,10 +849,9 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
 
     // Stall counting is a pure function of the slice bounds: the number of
     // indices in [lo, hi) whose window opens strictly later than their
-    // predecessor's. Recomputing it here (rather than inside the loop)
-    // keeps the count exact even when an abort cut the loop short — the
-    // threaded pipeline's count under abort is scheduler noise anyway, and
-    // fault-free runs are what the invariance contract pins.
+    // predecessor's. `prev` is seeded from the last index *before* the
+    // slice, so summing per-shard counts reproduces the single-streamer
+    // count of window transitions exactly. An aborted shard counts none.
     let mut rate_limiter_stalls = 0u64;
     let mut prev = if lo == 0 {
         0
@@ -882,7 +866,6 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
             prev = w;
         }
     }
-    let _ = last_window;
 
     let tx: Vec<WorkerTelemetry> = workers
         .iter()
@@ -1010,7 +993,7 @@ pub fn run_measurement_abortable(
 
     // Deferred-capture resolution: a crash-scheduled worker that survived
     // (the stream ended before its crash point) drains its buffered
-    // deliveries now, exactly like the threaded worker's final capture
+    // deliveries now, exactly like a worker process's final capture
     // phase; a crashed worker loses them with its site.
     let mut late = CaptureSink::new(&cx, n_workers);
     for o in &mut outs {
@@ -1026,9 +1009,9 @@ pub fn run_measurement_abortable(
         }
     }
 
-    // Per-worker terminal accounting, in worker order. (The threaded
-    // pipeline merges in arrival order; every merge operation is
-    // order-independent, so the reports agree.)
+    // Per-worker terminal accounting, in worker order. Every merge
+    // operation is order-independent, so the report matches one merged in
+    // worker arrival order.
     let mut probes_sent = 0u64;
     let mut failed_workers: Vec<u16> = Vec::new();
     let mut worker_health: Vec<WorkerHealth> = Vec::with_capacity(n_workers);
@@ -1145,337 +1128,6 @@ pub fn run_measurement_abortable(
     ))
 }
 
-// ---------------------------------------------------------------------------
-// Threaded pipeline (reference)
-// ---------------------------------------------------------------------------
-
-/// Run a measurement on the threaded reference pipeline: one OS thread per
-/// worker, `crossbeam` channels for the order stream, capture fabric and
-/// result stream — the process-shaped concurrency structure of the real
-/// system. Produces outcomes bit-identical to [`run_measurement`] for
-/// abort-free fault plans (modulo [`MeasurementOutcome::shard_report`],
-/// which it leaves empty); kept as the semantic reference and the
-/// benchmark baseline the sharded pipeline is measured against.
-///
-/// # Errors
-///
-/// As [`run_measurement`].
-pub fn run_measurement_threaded(
-    world: &Arc<World>,
-    spec: &MeasurementSpec,
-) -> Result<MeasurementOutcome, MeasurementError> {
-    run_measurement_threaded_abortable(world, spec, &AbortHandle::new())
-}
-
-/// [`run_measurement_threaded`] with a cancellation handle.
-///
-/// # Errors
-///
-/// As [`run_measurement`].
-pub fn run_measurement_threaded_abortable(
-    world: &Arc<World>,
-    spec: &MeasurementSpec,
-    abort: &AbortHandle,
-) -> Result<MeasurementOutcome, MeasurementError> {
-    let n_workers = validated_workers(world, spec)?;
-    let span_ms = spec.span_ms(n_workers);
-    let tracer = Tracer::new(spec.trace);
-    let mut telemetry = base_telemetry(spec, n_workers, span_ms);
-
-    if spec.targets.is_empty() {
-        return Ok(empty_hitlist_outcome(spec, n_workers, telemetry, &tracer));
-    }
-
-    let key = AuthKey::derive(world.cfg.seed ^ u64::from(spec.id));
-    let src_addr = platform_src_addr(spec);
-
-    // Channels: per-worker bounded order queues; unbounded capture fabric
-    // (replies in flight; unbounded rules out cyclic backpressure deadlock);
-    // one shared result stream.
-    let mut order_txs = Vec::with_capacity(n_workers);
-    let mut order_rxs = Vec::with_capacity(n_workers);
-    let mut cap_txs = Vec::with_capacity(n_workers);
-    let mut cap_rxs = Vec::with_capacity(n_workers);
-    // The queue bound is denominated in *orders*: batching the stream must
-    // not multiply the per-worker in-flight window by the batch size.
-    let batch_queue = (ORDER_QUEUE / spec.batch_size.max(1)).max(1);
-    for _ in 0..n_workers {
-        let (ot, or) = channel::bounded::<ProbeBatch>(batch_queue);
-        order_txs.push(ot);
-        order_rxs.push(or);
-        let (ct, cr) = channel::unbounded();
-        cap_txs.push(ct);
-        cap_rxs.push(cr);
-    }
-    let (out_tx, out_rx) = channel::unbounded::<WorkerOut>();
-
-    let mut records = Vec::new();
-    let mut probes_sent = 0u64;
-    let mut failed_workers = Vec::new();
-    let mut worker_health: Vec<WorkerHealth> = Vec::with_capacity(n_workers);
-
-    // Streamer-side counters, shared by reference with the stream thread
-    // inside the scope. Orders-streamed is a plain sum; stalls count the
-    // schedule's rate-limiter waits (the points where the next target's
-    // window opens strictly later than the previous one's) — derived from
-    // the deterministic schedule, not from channel backpressure, which is
-    // scheduler noise.
-    let orders_streamed = Counter::new();
-    let order_stalls = Counter::new();
-
-    std::thread::scope(|scope| {
-        for (w, (orders, captures)) in order_rxs.into_iter().zip(cap_rxs).enumerate() {
-            let wid = worker_wire_id(w);
-            let start = StartOrder {
-                measurement_id: spec.id,
-                platform: spec.platform,
-                worker_id: wid,
-                protocol: spec.protocol,
-                encoding: spec.encoding,
-                offset_ms: spec.offset_ms,
-                span_ms,
-                day: spec.day,
-                src_addr,
-                fail_after: spec.faults.crash_after(wid),
-                fabric_faults: spec.faults.fabric,
-            };
-            // A seal-rejection fault seals this worker's order under a key
-            // derived from a corrupted seed, so the worker's own key (R8)
-            // refuses it.
-            let seal_key = if spec.faults.rejects_seal(wid) {
-                AuthKey::derive(world.cfg.seed ^ u64::from(spec.id) ^ 0x0BAD_5EA1)
-            } else {
-                key
-            };
-            let sealed = Sealed::seal(seal_key, start);
-            let fabric = cap_txs.clone();
-            let out = out_tx.clone();
-            let out_err = out_tx.clone();
-            let world = Arc::clone(world);
-            let worker_tracer = tracer.clone();
-            scope.spawn(move || {
-                // A worker whose start order fails authentication never
-                // starts; the platform degrades to the remaining workers
-                // instead of poisoning the thread scope (R5).
-                if run_worker(
-                    &world,
-                    key,
-                    sealed,
-                    orders,
-                    captures,
-                    fabric,
-                    out,
-                    worker_tracer,
-                )
-                .is_err()
-                {
-                    // laces-lint: allow(discarded-fallibility) — failure event on a channel the aborting CLI may already have closed; the degradation is also recorded by the collector's own accounting
-                    let _ = out_err.send(WorkerOut::Event(WorkerEvent::Failed {
-                        worker: wid,
-                        telemetry: WorkerTelemetry::default(),
-                        cause: WorkerFailure::SealRejected,
-                    }));
-                }
-            });
-        }
-        // The orchestrator keeps no capture senders or result senders.
-        drop(cap_txs);
-        drop(out_tx);
-
-        // Stream the hitlist at the configured rate. Each target is ordered
-        // to every worker; a worker that died has a closed queue and is
-        // skipped (R5: measurement continues with the remaining workers).
-        let stream_abort = abort.clone();
-        let orders_streamed = &orders_streamed;
-        let order_stalls = &order_stalls;
-        let stream_tracer = tracer.clone();
-        scope.spawn(move || {
-            let mut txs: Vec<Option<_>> = order_txs.into_iter().map(Some).collect();
-            let mut sent = vec![0usize; txs.len()];
-            // Per-worker batch accumulators: one channel send per
-            // `spec.batch_size` orders instead of one per target. Fault
-            // semantics stay per-order — delays and closes are applied to
-            // individual orders before they enter a batch.
-            let mut pending: Vec<Vec<ProbeOrder>> = txs.iter().map(|_| Vec::new()).collect();
-            let flush =
-                |w: usize, pending: &mut Vec<Vec<ProbeOrder>>, tx: &channel::Sender<ProbeBatch>| {
-                    if pending[w].is_empty() {
-                        return;
-                    }
-                    let orders = std::mem::take(&mut pending[w]);
-                    orders_streamed.add(orders.len() as u64);
-                    // laces-lint: allow(discarded-fallibility) — a closed order queue means the worker died; skipping it is R5 graceful degradation (the measurement continues with the remaining workers)
-                    let _ = tx.send(ProbeBatch { orders });
-                };
-            let mut aborted = false;
-            let mut last_window = 0u64;
-            for (i, &target) in spec.targets.iter().enumerate() {
-                if stream_abort.is_aborted() {
-                    // CLI disconnected: stop streaming; workers wind down.
-                    // Accumulated but unsent batches are dropped — the
-                    // abort cuts the stream at a batch boundary (R3: no
-                    // unnecessary probes).
-                    aborted = true;
-                    break;
-                }
-                let window = window_start_ms(i, spec.rate_per_s);
-                if window > last_window {
-                    order_stalls.inc();
-                    last_window = window;
-                }
-                let order = ProbeOrder {
-                    target,
-                    window_start_ms: window,
-                };
-                let prefix = PrefixKey::of(target);
-                for w in 0..txs.len() {
-                    let wid = worker_wire_id(w);
-                    // Non-sender workers (single-VP precheck mode) receive
-                    // no orders but still capture replies.
-                    if !spec.is_sender(wid) {
-                        continue;
-                    }
-                    if let Some(f) = spec.faults.order_fault(wid) {
-                        if i < f.delay_orders {
-                            // The channel came up late; early orders are
-                            // lost in the disconnected stream.
-                            stream_tracer.record_for(Component::Orchestrator, prefix, || {
-                                TraceEvent::OrderFault {
-                                    prefix,
-                                    worker: wid,
-                                    cause: OrderFaultCause::Delayed,
-                                }
-                            });
-                            continue;
-                        }
-                        if f.close_after.is_some_and(|c| sent[w] >= c) {
-                            // Dropping the sender closes the worker's order
-                            // stream; it completes with what it received —
-                            // including a final partial batch.
-                            if let Some(tx) = txs[w].take() {
-                                flush(w, &mut pending, &tx);
-                            }
-                            stream_tracer.record_for(Component::Orchestrator, prefix, || {
-                                TraceEvent::OrderFault {
-                                    prefix,
-                                    worker: wid,
-                                    cause: OrderFaultCause::ChannelClosed,
-                                }
-                            });
-                            continue;
-                        }
-                    }
-                    if let Some(tx) = &txs[w] {
-                        stream_tracer.record_for(Component::Orchestrator, prefix, || {
-                            TraceEvent::OrderIssued {
-                                prefix,
-                                worker: wid,
-                                window_start_ms: window,
-                            }
-                        });
-                        pending[w].push(order);
-                        sent[w] += 1;
-                        if pending[w].len() >= spec.batch_size {
-                            flush(w, &mut pending, tx);
-                        }
-                    }
-                }
-            }
-            // End of hitlist: flush the partial tail batches.
-            if !aborted {
-                for (w, tx) in txs.iter().enumerate() {
-                    if let Some(tx) = tx {
-                        flush(w, &mut pending, tx);
-                    }
-                }
-            }
-            // Dropping the senders closes every worker's order stream.
-        });
-
-        // Aggregate the live result stream (this is the CLI's sink file).
-        for msg in out_rx.iter() {
-            match msg {
-                WorkerOut::Records(batch) => {
-                    records.extend(batch);
-                    if spec
-                        .faults
-                        .abort_after_records
-                        .is_some_and(|n| records.len() >= n)
-                    {
-                        // Mid-stream abort fault: the CLI disconnects, but
-                        // everything collected so far is kept.
-                        abort.abort();
-                    }
-                }
-                WorkerOut::Event(WorkerEvent::Done {
-                    worker,
-                    telemetry: t,
-                }) => {
-                    probes_sent += t.probes_sent;
-                    merge_worker_telemetry(&mut telemetry, worker, &t);
-                    worker_health.push(WorkerHealth {
-                        worker,
-                        status: WorkerStatus::Completed,
-                        probes_sent: t.probes_sent,
-                    });
-                }
-                WorkerOut::Event(WorkerEvent::Failed {
-                    worker,
-                    telemetry: t,
-                    cause,
-                }) => {
-                    probes_sent += t.probes_sent;
-                    merge_worker_telemetry(&mut telemetry, worker, &t);
-                    // One unsampled fault event per failed worker: probes it
-                    // had not sent and captures it held are attributed to it
-                    // by `TraceReport::explain`.
-                    tracer.record(Component::Control, || TraceEvent::WorkerFault {
-                        worker,
-                        cause: match cause {
-                            WorkerFailure::Crash => "crash".into(),
-                            WorkerFailure::SealRejected => "seal rejected".into(),
-                        },
-                        after_probes: t.probes_sent,
-                    });
-                    match cause {
-                        WorkerFailure::Crash => {
-                            telemetry.add_degraded(DegradedReason::WorkerCrashed { worker });
-                        }
-                        WorkerFailure::SealRejected => {
-                            telemetry.inc(names::orchestrator::SEAL_REJECTIONS, 1);
-                            telemetry.add_degraded(DegradedReason::SealRejected { worker });
-                        }
-                    }
-                    failed_workers.push(worker);
-                    worker_health.push(WorkerHealth {
-                        worker,
-                        status: WorkerStatus::Failed,
-                        probes_sent: t.probes_sent,
-                    });
-                }
-            }
-        }
-    });
-
-    Ok(finalize_outcome(
-        spec,
-        n_workers,
-        span_ms,
-        abort,
-        &tracer,
-        RunTotals {
-            records,
-            probes_sent,
-            failed_workers,
-            worker_health,
-            telemetry,
-            shard_report: RunReport::new(),
-            orders_streamed: orders_streamed.get(),
-            rate_limiter_stalls: order_stalls.get(),
-        },
-    ))
-}
-
 /// Result of a prechecked measurement (§6 future work: "check
 /// responsiveness from a single VP before probing from all VPs").
 #[derive(Debug, Clone)]
@@ -1496,33 +1148,6 @@ impl PrecheckedOutcome {
         self.precheck_probes + self.outcome.probes_sent
     }
 }
-
-/// A measurement id that lies in the id space reserved for precheck
-/// passes (bit [`PRECHECK_ID_BIT`] set) and therefore cannot be prechecked:
-/// its derived precheck id would collide with its own — or another
-/// measurement's — precheck, and two measurements sharing an id would
-/// accept each other's replies.
-#[deprecated(
-    since = "0.2.0",
-    note = "folded into MeasurementError::ReservedId; match on that instead"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReservedIdError(pub u32);
-
-#[allow(deprecated)]
-impl std::fmt::Display for ReservedIdError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "measurement id {:#010x} lies in the reserved precheck id space \
-             (ids must be below {PRECHECK_ID_BIT:#010x})",
-            self.0
-        )
-    }
-}
-
-#[allow(deprecated)]
-impl std::error::Error for ReservedIdError {}
 
 /// Run a measurement with a single-worker responsiveness precheck: worker
 /// `precheck_worker` probes the full hitlist alone (all workers capture);
@@ -1605,5 +1230,118 @@ mod tests {
     fn worker_wire_ids_are_exact_in_range() {
         assert_eq!(worker_wire_id(0), 0);
         assert_eq!(worker_wire_id(63), 63);
+    }
+
+    /// A one-worker capture sink filtering for `measurement_id`.
+    fn sink<'a>(
+        measurement_id: u32,
+        accepted: &'a AtomicUsize,
+        abort: &'a AbortHandle,
+        tracer: &'a Tracer,
+    ) -> CaptureSink<'a> {
+        CaptureSink {
+            measurement_id,
+            arena: RecordArena::new(),
+            records_streamed: vec![0],
+            captures_rejected: vec![0],
+            abort_after: None,
+            accepted,
+            abort,
+            tracer,
+        }
+    }
+
+    /// R8 on the shipped capture filter: a reply to another measurement is
+    /// counted as rejected and produces no record, both when the wire
+    /// hands back a prepared reply and when the reply bytes are parsed.
+    #[test]
+    fn capture_filter_rejects_foreign_measurement_ids_on_both_arms() {
+        use laces_netsim::WorldConfig;
+        use laces_packet::probe::{build_probe, ProbeEncoding};
+        use laces_packet::Protocol;
+
+        let w = World::generate(WorldConfig::tiny());
+        let production = w.std_platforms.production;
+        let src = plat::anycast_src_v4(production);
+        let source = ProbeSource::Worker {
+            platform: production,
+            site: 0,
+        };
+        let foreign = 999_999;
+        let ctx = MeasurementCtx {
+            id: foreign,
+            day: 0,
+            span_ms: 0,
+        };
+        let meta = ProbeMeta {
+            measurement_id: foreign,
+            worker_id: 0,
+            tx_time_ms: 0,
+        };
+        let mut targets = w
+            .targets
+            .iter()
+            .filter(|t| t.resp.icmp)
+            .filter_map(|t| match t.prefix {
+                PrefixKey::V4(p) => Some(IpAddr::V4(p.addr(77))),
+                PrefixKey::V6(_) => None,
+            });
+
+        let mut session = w.probe_session(source);
+        let mut out = Vec::new();
+        let prepared = targets
+            .clone()
+            .find_map(|dst| {
+                let probe = BatchProbe {
+                    dst,
+                    bytes: &[],
+                    tx_time_ms: 0,
+                    window_start_ms: 0,
+                    meta: Some((meta, ProbeEncoding::PerWorker)),
+                };
+                w.send_probe_batch(
+                    &mut session,
+                    src,
+                    Protocol::Icmp,
+                    &[probe],
+                    &ctx,
+                    &WireStats::new(),
+                    &mut out,
+                )
+                .ok()?;
+                out.pop()
+            })
+            .expect("a responsive target");
+        assert!(prepared.reply.is_some(), "prepared-reply arm not exercised");
+        let parsed = targets
+            .find_map(|dst| {
+                let pkt = build_probe(src, dst, Protocol::Icmp, &meta, ProbeEncoding::PerWorker);
+                w.send_probe(source, &pkt, 0, 0, &ctx).ok().flatten()
+            })
+            .expect("a responsive target");
+        assert!(parsed.reply.is_none(), "parse_reply arm not exercised");
+
+        let (accepted, abort, tracer) =
+            (AtomicUsize::new(0), AbortHandle::new(), Tracer::disabled());
+        for (arm, d) in [("prepared-reply", &prepared), ("parse_reply", &parsed)] {
+            let mut own = sink(901, &accepted, &abort, &tracer);
+            own.capture(d, 0);
+            assert_eq!(
+                own.captures_rejected,
+                vec![1],
+                "{arm}: rejection not counted"
+            );
+            assert_eq!(own.records_streamed, vec![0], "{arm}");
+            assert!(
+                own.arena.is_empty(),
+                "{arm}: a foreign reply produced a record"
+            );
+            // Control: the same delivery validates under its own id, so the
+            // rejection above is the measurement-id filter at work.
+            let mut theirs = sink(foreign, &accepted, &abort, &tracer);
+            theirs.capture(d, 0);
+            assert_eq!(theirs.records_streamed, vec![1], "{arm}: control rejected");
+            assert_eq!(theirs.captures_rejected, vec![0], "{arm}");
+        }
     }
 }

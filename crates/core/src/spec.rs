@@ -73,9 +73,9 @@ pub struct MeasurementSpec {
     /// `None` means every worker probes. Used by the single-VP
     /// responsiveness precheck (paper §6 future work).
     pub senders: Option<Vec<u16>>,
-    /// Orders per [`ProbeBatch`](crate::worker::ProbeBatch): the
-    /// Orchestrator issues `ceil(n_targets / batch_size)` channel sends per
-    /// worker instead of one per target. Purely a transport knob — records,
+    /// Orders per wire batch: each shard hands a worker's accumulated
+    /// orders to the wire `ceil(n_targets / batch_size)` times instead of
+    /// once per target. Purely a transport knob — records,
     /// classification and telemetry are bit-identical across batch sizes
     /// (the probe schedule and all RNG draws are keyed on per-probe
     /// coordinates, never on the batching).

@@ -17,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 use laces_core::classify::AnycastClassification;
 use laces_core::error::MeasurementError;
 use laces_core::fault::FaultPlan;
-use laces_core::orchestrator::{run_measurement, run_measurement_threaded};
+use laces_core::orchestrator::run_measurement;
 use laces_core::results::MeasurementOutcome;
 use laces_core::spec::MeasurementSpec;
 use laces_netsim::{World, WorldConfig};
@@ -115,16 +115,6 @@ fn outputs_are_byte_identical_across_shard_counts() {
         .expect("valid spec");
         assert_outputs_equal(&baseline, &outcome, &format!("shards={shards}"));
     }
-}
-
-#[test]
-fn sharded_pipeline_matches_the_threaded_reference() {
-    let w = world();
-    let targets = hitlist(w, 120);
-    let spec = spec_with(w, 42_001, Arc::clone(&targets), FaultPlan::none(), 4);
-    let sharded = run_measurement(w, &spec).expect("valid spec");
-    let threaded = run_measurement_threaded(w, &spec).expect("valid spec");
-    assert_outputs_equal(&threaded, &sharded, "threaded-vs-sharded");
 }
 
 #[test]

@@ -130,24 +130,6 @@ pub fn enumerate_counted_memo(
     )
 }
 
-/// [`enumerate_counted`] at the pre-index cost profile: per-pair
-/// haversines for every overlap test and a linear scan of the city table
-/// for every geolocation. Semantically identical to the other variants —
-/// this is the benchmark baseline and the equivalence-test oracle, not a
-/// fallback.
-pub fn enumerate_counted_reference(
-    samples: &[RttSample],
-    db: &CityDb,
-    overlap_tests: &mut u64,
-) -> Enumeration {
-    enumerate_core(
-        samples,
-        overlap_tests,
-        |_, p, _, d| p.overlaps(d),
-        |_, d| db.most_populous_in_linear(d),
-    )
-}
-
 /// The shared greedy pass behind the `enumerate_counted*` variants.
 /// `overlaps(picked_vp, picked_disk, cand_vp, cand_disk)` and
 /// `geolocate(witness_vp, disk)` abstract the geometry source; every
@@ -443,7 +425,20 @@ mod tests {
             let (mut t0, mut t1, mut t2) = (0u64, 0u64, 0u64);
             let base = enumerate_counted(&samples, &db, &mut t0);
             let memo = enumerate_counted_memo(&samples, &geom, &mut t1);
-            let refr = enumerate_counted_reference(&samples, &db, &mut t2);
+            // The pre-index reference: per-pair haversines and a linear
+            // scan of the city table for the most populous contained city
+            // (`max_by_key` keeps the highest index among population ties).
+            let refr = enumerate_core(
+                &samples,
+                &mut t2,
+                |_, p, _, d| p.overlaps(d),
+                |_, d| {
+                    db.iter()
+                        .filter(|(_, c)| d.contains(&c.coord))
+                        .max_by_key(|(_, c)| c.population)
+                        .map(|(id, _)| id)
+                },
+            );
             assert_eq!(base, memo);
             assert_eq!(base, refr);
             assert_eq!(t0, t1);

@@ -467,12 +467,12 @@ impl CityDb {
     /// iGreedy's geolocation step: the most populous city inside `disk`,
     /// or `None` if the disk contains no database city.
     ///
-    /// Grid-indexed; returns exactly what
-    /// [`most_populous_in_linear`](Self::most_populous_in_linear) returns
-    /// (pinned by the `grid_equivalence` test suite). The linear scan's
-    /// `max_by_key` resolves population ties to the *highest* index, which
-    /// equals the lexicographic maximum on `(population, index)` — a
-    /// visit-order-independent criterion, so cell iteration order is free.
+    /// Grid-indexed; returns exactly what a linear scan of the table with
+    /// `max_by_key` on population returns (pinned by the
+    /// `grid_equivalence` test suite). That scan resolves population ties
+    /// to the *highest* index, which equals the lexicographic maximum on
+    /// `(population, index)` — a visit-order-independent criterion, so
+    /// cell iteration order is free.
     pub fn most_populous_in(&self, disk: &Disk) -> Option<CityId> {
         let mut best: Option<(u64, usize)> = None;
         self.grid_candidates(disk, |i| {
@@ -486,8 +486,8 @@ impl CityDb {
 
     /// All cities inside `disk`, ordered by descending population.
     ///
-    /// Grid-indexed; returns exactly what
-    /// [`all_in_linear`](Self::all_in_linear) returns — the sort key
+    /// Grid-indexed; returns exactly what a linear scan of the table
+    /// returns (pinned by the `grid_equivalence` test suite) — the sort key
     /// `(population desc, index asc)` is a total order (indices are
     /// unique), so the candidate visit order cannot leak into the result.
     pub fn all_in(&self, disk: &Disk) -> Vec<CityId> {
@@ -498,32 +498,6 @@ impl CityDb {
                 ids.push((i, c.population));
             }
         });
-        ids.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ids.into_iter().map(|(i, _)| CityId(i as u16)).collect()
-    }
-
-    /// Linear-scan reference for [`most_populous_in`](Self::most_populous_in):
-    /// the pre-index implementation, kept public so equivalence tests and
-    /// benchmarks can pin the grid path byte-identical to it.
-    pub fn most_populous_in_linear(&self, disk: &Disk) -> Option<CityId> {
-        self.cities
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| disk.contains(&c.coord))
-            .max_by_key(|(_, c)| c.population)
-            .map(|(i, _)| CityId(i as u16))
-    }
-
-    /// Linear-scan reference for [`all_in`](Self::all_in); see
-    /// [`most_populous_in_linear`](Self::most_populous_in_linear).
-    pub fn all_in_linear(&self, disk: &Disk) -> Vec<CityId> {
-        let mut ids: Vec<(usize, u64)> = self
-            .cities
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| disk.contains(&c.coord))
-            .map(|(i, c)| (i, c.population))
-            .collect();
         ids.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ids.into_iter().map(|(i, _)| CityId(i as u16)).collect()
     }

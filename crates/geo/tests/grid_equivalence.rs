@@ -1,10 +1,31 @@
-//! Pins the grid-indexed `CityDb` disk queries byte-identical to the
-//! linear-scan reference (`*_linear`) over an exhaustive disk grid: a
-//! center on every embedded city plus antimeridian/pole/ocean centers,
-//! crossed with radii spanning 1 km to the 20 000 km hemisphere-plus
-//! regime. Any divergence here means the grid cover dropped a cell.
+//! Pins the grid-indexed `CityDb` disk queries byte-identical to a
+//! linear scan of the city table over an exhaustive disk grid: a center
+//! on every embedded city plus antimeridian/pole/ocean centers, crossed
+//! with radii spanning 1 km to the 20 000 km hemisphere-plus regime. Any
+//! divergence here means the grid cover dropped a cell.
 
-use laces_geo::{CityDb, Coord, Disk};
+use laces_geo::{CityDb, CityId, Coord, Disk};
+
+/// Linear-scan reference for `CityDb::most_populous_in`: the pre-index
+/// implementation (`max_by_key` keeps the highest index among ties).
+fn most_populous_in_linear(db: &CityDb, disk: &Disk) -> Option<CityId> {
+    db.iter()
+        .filter(|(_, c)| disk.contains(&c.coord))
+        .max_by_key(|(_, c)| c.population)
+        .map(|(id, _)| id)
+}
+
+/// Linear-scan reference for `CityDb::all_in`: descending population,
+/// ties by ascending index.
+fn all_in_linear(db: &CityDb, disk: &Disk) -> Vec<CityId> {
+    let mut ids: Vec<(CityId, u64)> = db
+        .iter()
+        .filter(|(_, c)| disk.contains(&c.coord))
+        .map(|(id, c)| (id, c.population))
+        .collect();
+    ids.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    ids.into_iter().map(|(id, _)| id).collect()
+}
 
 /// Radii (km) spanning the regimes the cover logic switches between:
 /// sub-cell, cell-sized, multi-cell, pole-reaching and >hemisphere disks.
@@ -15,14 +36,14 @@ const RADII_KM: &[f64] = &[
 fn assert_equivalent(db: &CityDb, disk: &Disk, what: &str) {
     assert_eq!(
         db.most_populous_in(disk),
-        db.most_populous_in_linear(disk),
+        most_populous_in_linear(db, disk),
         "most_populous_in diverged for {what} (center {:?}, r {} km)",
         disk.center,
         disk.radius_km
     );
     assert_eq!(
         db.all_in(disk),
-        db.all_in_linear(disk),
+        all_in_linear(db, disk),
         "all_in diverged for {what} (center {:?}, r {} km)",
         disk.center,
         disk.radius_km

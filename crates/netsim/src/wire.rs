@@ -560,90 +560,6 @@ impl World {
         }
     }
 
-    /// The prepared single-probe fast path: one probe through the exact
-    /// pipeline of [`World::send_probe_batch`], with the same pre-resolved
-    /// session handles and scratch buffers, but per-probe statistics
-    /// accounting identical to [`World::send_probe_observed`] (probe
-    /// counted first; an `Err` probe is counted but elicits nothing).
-    /// This is the shape retry loops want — send, inspect the delivery,
-    /// decide the next attempt — where assembling a batch would force the
-    /// caller to buffer decisions it makes one probe at a time.
-    ///
-    /// # Errors
-    ///
-    /// Malformed probe bytes surface as `Err`, exactly as on the scalar
-    /// path. With `probe.meta` set the bytes are never parsed, so the
-    /// prepared path cannot fail.
-    pub fn send_probe_one(
-        &self,
-        session: &mut ProbeSession,
-        src_addr: IpAddr,
-        protocol: Protocol,
-        probe: &BatchProbe<'_>,
-        ctx: &MeasurementCtx,
-        stats: &WireStats,
-    ) -> Result<Option<Delivery>, PacketError> {
-        stats.probes.inc();
-        let ProbeSession {
-            src,
-            src_platform,
-            src_as,
-            src_vp_pos,
-            src_coord,
-            src_city,
-            src_key,
-            src_access,
-            routes,
-            catchments,
-            vp_city_km,
-            chaos_buf,
-            reply_buf,
-            tracer,
-        } = session;
-        let tracer = &*tracer;
-        let (src, src_platform, src_as, src_vp_pos, src_coord) =
-            (*src, *src_platform, *src_as, *src_vp_pos, *src_coord);
-        let (src_city, src_key, src_access) = (*src_city, *src_key, *src_access);
-        let routes = routes.as_deref();
-        let catchments: &[Arc<DepCatchment>] = catchments;
-        let seed = self.cfg.seed;
-        let day = ctx.day;
-        let view = PacketView {
-            src: src_addr,
-            dst: probe.dst,
-            protocol,
-            bytes: probe.bytes,
-        };
-        let result = self.send_probe_core(
-            src,
-            src_platform,
-            src_coord,
-            src_city,
-            src_key,
-            src_access,
-            flip_probability(ctx.span_ms as f64 / 1000.0),
-            (!vp_city_km.is_empty()).then_some(vp_city_km.as_mut_slice()),
-            probe.meta,
-            &view,
-            probe.tx_time_ms,
-            probe.window_start_ms,
-            ctx,
-            |dep| {
-                let pos = src_vp_pos?;
-                forward_site_in(seed, &catchments[dep.0 as usize], pos, dep, src_as, day)
-            },
-            |responder_as| receiving_site_in(seed, routes?, src_platform, responder_as, day),
-            chaos_buf,
-            reply_buf,
-            tracer,
-        )?;
-        match result {
-            Some(_) => stats.deliveries.inc(),
-            None => stats.unanswered.inc(),
-        }
-        Ok(result)
-    }
-
     /// The shared decision pipeline behind [`World::send_probe`] and
     /// [`World::send_probe_batch`]. `forward` and `receiving` abstract the
     /// route-table access (locked caches on the scalar path, pre-resolved

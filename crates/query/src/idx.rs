@@ -568,6 +568,14 @@ impl<'a> Cursor<'a> {
     pub(crate) fn done(&self) -> bool {
         self.pos == self.bytes.len()
     }
+
+    /// Capacity for `n` items of `item_len` bytes each still to be read:
+    /// `n` comes from the untrusted input, so it is capped by the bytes
+    /// actually present (a count larger than that fails as truncation
+    /// anyway, after allocating only what the input could fill).
+    pub(crate) fn capacity_for(&self, n: u32, item_len: usize) -> usize {
+        (n as usize).min((self.bytes.len() - self.pos) / item_len)
+    }
 }
 
 /// Decode and validate a header. `expect_day` is the day implied by the
@@ -692,7 +700,7 @@ pub(crate) fn decode_city_strs(bytes: &[u8], h: &Header) -> Result<Vec<String>, 
             detail: format!("city table says {n} cities, header says {}", h.n_cities),
         });
     }
-    let mut out = Vec::with_capacity(n as usize);
+    let mut out = Vec::with_capacity(c.capacity_for(n, 4));
     for _ in 0..n {
         let len = c.u32()? as usize;
         let raw = c.take(len)?;
@@ -743,12 +751,12 @@ pub(crate) fn decode_city_ids(bytes: &[u8], h: &Header) -> Result<Vec<u32>, Quer
 pub(crate) fn decode_city_postings(bytes: &[u8], h: &Header) -> Result<Postings, QueryError> {
     let day = h.day;
     let mut c = Cursor::new(bytes, day);
-    let mut spans = Vec::with_capacity(h.n_cities as usize);
+    let mut spans = Vec::with_capacity(c.capacity_for(h.n_cities, 8));
     for _ in 0..h.n_cities {
         spans.push((c.u32()?, c.u32()?));
     }
     let flat_len = c.u32()?;
-    let mut flat = Vec::with_capacity(flat_len as usize);
+    let mut flat = Vec::with_capacity(c.capacity_for(flat_len, 4));
     for _ in 0..flat_len {
         let idx = c.u32()?;
         if idx >= h.n_records {
@@ -789,7 +797,7 @@ pub(crate) fn decode_as_postings(
             detail: format!("AS table says {n} ASes, header says {}", h.n_asns),
         });
     }
-    let mut ases = Vec::with_capacity(n as usize);
+    let mut ases = Vec::with_capacity(c.capacity_for(n, 20));
     let mut prev: Option<u32> = None;
     for _ in 0..n {
         let a = AsPosting {
@@ -809,7 +817,7 @@ pub(crate) fn decode_as_postings(
         ases.push(a);
     }
     let flat_len = c.u32()?;
-    let mut flat = Vec::with_capacity(flat_len as usize);
+    let mut flat = Vec::with_capacity(c.capacity_for(flat_len, 4));
     for _ in 0..flat_len {
         let idx = c.u32()?;
         if idx >= h.n_records {
@@ -981,6 +989,17 @@ mod tests {
             decode_header(&bytes, 2),
             Err(QueryError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn untrusted_counts_reserve_only_what_the_bytes_can_hold() {
+        let bytes = [0u8; 14];
+        let mut c = Cursor::new(&bytes, 0);
+        assert_eq!(c.capacity_for(u32::MAX, 4), 3);
+        assert_eq!(c.capacity_for(2, 4), 2);
+        c.u16().unwrap();
+        assert_eq!(c.capacity_for(u32::MAX, 4), 3);
+        assert_eq!(c.capacity_for(u32::MAX, 20), 0);
     }
 
     #[test]

@@ -255,8 +255,16 @@ pub struct QueryService {
     telemetry: RunReport,
 }
 
+/// Up-front buffer reservation of [`read_at`]; longer reads grow with the
+/// bytes actually read. Covers every record span and small section.
+const READ_PREALLOC: usize = 64 * 1024;
+
 /// Read `len` bytes at `offset` of `path` — the service's only file
-/// access primitive; nothing ever reads a whole day file.
+/// access primitive; nothing ever reads a whole day file. `len` comes
+/// from an index header whose fingerprint is unkeyed, so it is untrusted:
+/// the read goes through [`Read::take`] and the buffer grows only with
+/// the bytes the file actually holds, and a short read is
+/// [`QueryError::Corrupt`].
 fn read_at(path: &Path, offset: u64, len: usize, day: u32) -> Result<Vec<u8>, QueryError> {
     let map_io = |source: std::io::Error| {
         if source.kind() == std::io::ErrorKind::NotFound {
@@ -273,15 +281,20 @@ fn read_at(path: &Path, offset: u64, len: usize, day: u32) -> Result<Vec<u8>, Qu
     };
     let mut f = std::fs::File::open(path).map_err(map_io)?;
     f.seek(SeekFrom::Start(offset)).map_err(map_io)?;
-    let mut buf = vec![0u8; len];
-    f.read_exact(&mut buf)
-        .map_err(|source| QueryError::Corrupt {
-            day,
-            detail: format!(
-                "short read at {offset}+{len} of {}: {source}",
-                path.display()
-            ),
-        })?;
+    let short_read = |detail: String| QueryError::Corrupt {
+        day,
+        detail: format!(
+            "short read at {offset}+{len} of {}: {detail}",
+            path.display()
+        ),
+    };
+    let mut buf = Vec::with_capacity(len.min(READ_PREALLOC));
+    f.take(len as u64)
+        .read_to_end(&mut buf)
+        .map_err(|source| short_read(source.to_string()))?;
+    if buf.len() != len {
+        return Err(short_read(format!("only {} bytes present", buf.len())));
+    }
     Ok(buf)
 }
 
@@ -587,9 +600,8 @@ impl QueryService {
     }
 
     /// The history of one prefix over every selected day:
-    /// `(day, anycast_based?, gcd_confirmed?)` — the deprecated
-    /// `CensusQuery::prefix_history` shape, answered from prefix tables
-    /// only.
+    /// `(day, anycast_based?, gcd_confirmed?)`, answered from prefix
+    /// tables only.
     pub fn history(&mut self, prefix: PrefixKey) -> Result<Vec<(u32, bool, bool)>, QueryError> {
         let days = self.days.clone();
         let mut out = Vec::with_capacity(days.len());
@@ -636,8 +648,7 @@ impl QueryService {
         })
     }
 
-    /// Per-day GCD-confirmed counts over every selected day — the
-    /// deprecated `CensusQuery::daily_confirmed_counts` shape, answered
+    /// Per-day GCD-confirmed counts over every selected day, answered
     /// from day summaries only.
     pub fn daily_confirmed_counts(&mut self) -> Result<BTreeMap<u32, usize>, QueryError> {
         let days = self.days.clone();
@@ -1039,6 +1050,111 @@ mod tests {
         assert!(q.point(9, v4(1))?.is_some(), "prefix table intact");
         assert!(matches!(
             q.summary(9),
+            Err(QueryError::Corrupt { day: 9, .. })
+        ));
+        Ok(())
+    }
+
+    fn u64_at(bytes: &[u8], at: usize) -> u64 {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&bytes[at..at + 8]);
+        u64::from_le_bytes(b)
+    }
+
+    fn u32_at(bytes: &[u8], at: usize) -> usize {
+        let mut b = [0u8; 4];
+        b.copy_from_slice(&bytes[at..at + 4]);
+        u32::from_le_bytes(b) as usize
+    }
+
+    /// Header byte offset of section `sec`'s descriptor (offset, len, fp).
+    fn descriptor(sec: usize) -> usize {
+        40 + sec * 24
+    }
+
+    /// Recompute every section fingerprint that still covers bytes in the
+    /// file, then the header fingerprint: what a hostile writer does so a
+    /// forged length passes every fingerprint check.
+    fn refingerprint(bytes: &mut [u8]) {
+        for sec in 0..crate::idx::N_SECTIONS {
+            let d = descriptor(sec);
+            let (off, len) = (u64_at(bytes, d) as usize, u64_at(bytes, d + 8) as usize);
+            if let Some(body) = bytes.get(off..off.saturating_add(len)) {
+                let fp = fnv1a(body);
+                bytes[d + 16..d + 24].copy_from_slice(&fp.to_le_bytes());
+            }
+        }
+        bytes[32..40].fill(0);
+        let fp = fnv1a(&bytes[..HEADER_LEN]);
+        bytes[32..40].copy_from_slice(&fp.to_le_bytes());
+    }
+
+    /// A two-record day with cities and ASes, its sidecar path and bytes.
+    fn hostile_day(tag: &str) -> Result<(PathBuf, PathBuf, Vec<u8>), AnyError> {
+        let dir = tmpdir(tag)?;
+        write_day(
+            &dir,
+            9,
+            &[
+                (v4(1), true, true, &["Oslo", "Rome"], Some(1)),
+                (v4(2), true, true, &["Oslo"], Some(2)),
+            ],
+        )?;
+        let path = dir.join(index_file_name(9));
+        let bytes = std::fs::read(&path)?;
+        let mut same = bytes.clone();
+        refingerprint(&mut same);
+        assert_eq!(
+            same, bytes,
+            "refingerprint must be the identity on a valid index"
+        );
+        Ok((dir, path, bytes))
+    }
+
+    #[test]
+    fn inflated_section_length_is_a_typed_error() -> Result<(), AnyError> {
+        let (dir, path, mut bytes) = hostile_day("inflated-section")?;
+        // Claim a terabyte for the summary section: `read_at` must not
+        // allocate it before noticing the file is short.
+        let d = descriptor(SEC_SUMMARY) + 8;
+        bytes[d..d + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        refingerprint(&mut bytes);
+        std::fs::write(&path, &bytes)?;
+        let mut q = QueryService::open(&dir).build()?;
+        assert!(matches!(
+            q.summary(9),
+            Err(QueryError::Corrupt { day: 9, .. })
+        ));
+        Ok(())
+    }
+
+    #[test]
+    fn inflated_city_postings_length_is_a_typed_error() -> Result<(), AnyError> {
+        let (dir, path, mut bytes) = hostile_day("inflated-city-postings")?;
+        // The flat posting count follows the n_cities span pairs.
+        let at = u64_at(&bytes, descriptor(SEC_CITY_POSTINGS)) as usize + u32_at(&bytes, 20) * 8;
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        refingerprint(&mut bytes);
+        std::fs::write(&path, &bytes)?;
+        let mut q = QueryService::open(&dir).build()?;
+        assert!(matches!(
+            q.sites(9),
+            Err(QueryError::Corrupt { day: 9, .. })
+        ));
+        Ok(())
+    }
+
+    #[test]
+    fn inflated_as_postings_length_is_a_typed_error() -> Result<(), AnyError> {
+        let (dir, path, mut bytes) = hostile_day("inflated-as-postings")?;
+        // The flat posting count follows the AS count and n_asns entries.
+        let at = u64_at(&bytes, descriptor(SEC_AS_POSTINGS)) as usize + 4 + u32_at(&bytes, 28) * 20;
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        refingerprint(&mut bytes);
+        std::fs::write(&path, &bytes)?;
+        let mut q = QueryService::open(&dir).build()?;
+        assert!(matches!(
+            q.asn_ranking(9),
             Err(QueryError::Corrupt { day: 9, .. })
         ));
         Ok(())
