@@ -91,7 +91,8 @@ impl PipelineRun {
 }
 
 /// The orchestrator's canonical record order (workers race to the result
-/// stream; sorting removes the scheduler noise before fingerprinting).
+/// stream; sorting removes the scheduler noise before fingerprinting): a
+/// total order over every record field, so the sorted multiset is unique.
 fn sort_canonical(records: &mut [ProbeRecord]) {
     records.sort_unstable_by(|a, b| {
         (
@@ -100,6 +101,7 @@ fn sort_canonical(records: &mut [ProbeRecord]) {
             a.rx_worker,
             a.tx_time_ms,
             a.rx_time_ms,
+            a.protocol,
         )
             .cmp(&(
                 b.prefix,
@@ -107,7 +109,9 @@ fn sort_canonical(records: &mut [ProbeRecord]) {
                 b.rx_worker,
                 b.tx_time_ms,
                 b.rx_time_ms,
+                b.protocol,
             ))
+            .then_with(|| a.chaos_identity.cmp(&b.chaos_identity))
     });
 }
 

@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use laces_packet::PrefixKey;
 use serde::{Deserialize, Serialize};
 
+use crate::classify::{insert_receivers, prefix_runs};
 use crate::results::MeasurementOutcome;
 
 /// A catchment map: for each responsive prefix, the set of sites that
@@ -31,8 +32,8 @@ impl CatchmentMap {
     /// Build a catchment map from a measurement outcome.
     pub fn from_outcome(outcome: &MeasurementOutcome) -> Self {
         let mut sites: BTreeMap<PrefixKey, BTreeSet<u16>> = BTreeMap::new();
-        for r in &outcome.records {
-            sites.entry(r.prefix).or_default().insert(r.rx_worker);
+        for (prefix, run) in prefix_runs(&outcome.records) {
+            insert_receivers(run, sites.entry(prefix).or_default());
         }
         let mut assignments = BTreeMap::new();
         let mut multi_site = BTreeMap::new();

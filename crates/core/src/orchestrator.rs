@@ -51,7 +51,8 @@ use crate::auth::{AuthKey, Sealed};
 use crate::error::MeasurementError;
 use crate::rate::window_start_ms;
 use crate::results::{
-    MeasurementOutcome, ProbeRecord, RecordArena, WorkerHealth, WorkerStatus, WorkerTelemetry,
+    sort_canonical, MeasurementOutcome, ProbeRecord, RecordArena, WorkerHealth, WorkerStatus,
+    WorkerTelemetry,
 };
 use crate::spec::MeasurementSpec;
 use crate::worker::{ProbeOrder, StartOrder};
@@ -278,6 +279,9 @@ fn platform_src_addr(spec: &MeasurementSpec) -> IpAddr {
 /// Everything a pipeline hands to the shared epilogue.
 struct RunTotals {
     records: Vec<ProbeRecord>,
+    /// The RTT distribution of `records`, observed where they were
+    /// captured.
+    rtts: Histogram,
     probes_sent: u64,
     failed_workers: Vec<u16>,
     worker_health: Vec<WorkerHealth>,
@@ -301,6 +305,7 @@ fn finalize_outcome(
 ) -> MeasurementOutcome {
     let RunTotals {
         mut records,
+        rtts,
         probes_sent,
         mut failed_workers,
         worker_health: mut health,
@@ -314,7 +319,10 @@ fn finalize_outcome(
     // Canonical record order: shards (or worker threads) race to the
     // result stream, so the arrival order is scheduler noise. Sorting
     // makes equal runs serialise identically (fault plans are replayable
-    // bit-for-bit).
+    // bit-for-bit). The sharded pipeline hands over block-sorted arenas
+    // in shard order, so this is one linear pass unless the input was out
+    // of order (an unsorted hitlist, deferred captures); it is the single
+    // correctness backstop either way.
     sort_canonical(&mut records);
 
     telemetry.inc(names::orchestrator::ORDERS_STREAMED, orders_streamed);
@@ -327,14 +335,9 @@ fn finalize_outcome(
         telemetry.inc(names::orchestrator::ABORTS, 1);
         telemetry.add_degraded(DegradedReason::Aborted);
     }
-    // The RTT distribution is computed from the canonical record list (a
-    // multiset — order-independent by construction).
-    let mut rtts = Histogram::new(&metrics::RTT_BUCKETS_MS);
-    for r in &records {
-        if let Some(rtt) = r.rtt_ms() {
-            rtts.observe(rtt);
-        }
-    }
+    // The RTT distribution was observed at capture (one histogram per
+    // shard, merged additively — a multiset, so order-independent by
+    // construction).
     telemetry.record_histogram(names::worker::RTT_MS, rtts.snapshot());
     // Stage timing on the simulated clock: the probing phase spans the
     // rate-limited hitlist stream plus the last worker's offset window
@@ -366,26 +369,6 @@ fn finalize_outcome(
         shard_report,
         trace_report: tracer.snapshot(""),
     }
-}
-
-/// The canonical record sort.
-pub(crate) fn sort_canonical(records: &mut [ProbeRecord]) {
-    records.sort_unstable_by(|a, b| {
-        (
-            a.prefix,
-            a.tx_worker,
-            a.rx_worker,
-            a.tx_time_ms,
-            a.rx_time_ms,
-        )
-            .cmp(&(
-                b.prefix,
-                b.tx_worker,
-                b.rx_worker,
-                b.tx_time_ms,
-                b.rx_time_ms,
-            ))
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -511,6 +494,8 @@ struct ShardCtx<'a> {
 struct CaptureSink<'a> {
     measurement_id: u32,
     arena: RecordArena,
+    /// RTTs of the accumulated records.
+    rtts: Histogram,
     records_streamed: Vec<u64>,
     captures_rejected: Vec<u64>,
     abort_after: Option<usize>,
@@ -524,6 +509,7 @@ impl<'a> CaptureSink<'a> {
         CaptureSink {
             measurement_id: cx.spec.id,
             arena: RecordArena::new(),
+            rtts: Histogram::new(&metrics::RTT_BUCKETS_MS),
             records_streamed: vec![0; n_workers],
             captures_rejected: vec![0; n_workers],
             abort_after: cx.spec.faults.abort_after_records,
@@ -556,7 +542,7 @@ impl<'a> CaptureSink<'a> {
                     accepted: true,
                     chaos_identity: info.chaos_identity.as_deref().map(str::to_string),
                 });
-            self.arena.push(ProbeRecord {
+            let record = ProbeRecord {
                 prefix,
                 protocol: info.protocol,
                 rx_worker,
@@ -564,7 +550,11 @@ impl<'a> CaptureSink<'a> {
                 tx_time_ms: info.tx_time_ms,
                 rx_time_ms: d.rx_time_ms,
                 chaos_identity: info.chaos_identity,
-            });
+            };
+            if let Some(rtt) = record.rtt_ms() {
+                self.rtts.observe(rtt);
+            }
+            self.arena.push(record);
             self.records_streamed[rx] += 1;
             if let Some(limit) = self.abort_after {
                 // Mid-stream abort fault: the CLI disconnects once `limit`
@@ -608,7 +598,9 @@ struct ShardOutput {
     index: usize,
     lo: usize,
     hi: usize,
+    /// Block-sorted records (see [`RecordArena::sort_block`]).
     arena: RecordArena,
+    rtts: Histogram,
     /// Per-worker tx-side telemetry (rx-side fields zero).
     tx: Vec<WorkerTelemetry>,
     records_streamed: Vec<u64>,
@@ -789,6 +781,7 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
         let target = spec.targets[i];
         let window = window_start_ms(i, spec.rate_per_s);
         let prefix = PrefixKey::of(target);
+        let mut round_flushed = false;
         for w in 0..n_workers {
             let plan = &cx.plans[w];
             // Non-sender workers (single-VP precheck mode) receive no
@@ -836,7 +829,17 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
             }
             if ws.batch.len() >= spec.batch_size {
                 flush!(w);
+                round_flushed = true;
             }
+        }
+        // Once every sender has flushed, the records of all orders up to
+        // `i` are in the arena: sort that block while it is in cache. On
+        // a prefix-sorted hitlist the blocks then follow each other in
+        // canonical order, and the seal's backstop sort is one linear
+        // pass. Batches misaligned by order faults close fewer, larger
+        // blocks, which are still in order.
+        if round_flushed && workers.iter().all(|ws| ws.batch.is_empty()) {
+            sink.arena.sort_block();
         }
     }
     // End of slice: flush the partial tail batches (unless aborted — an
@@ -846,6 +849,7 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
             flush!(w);
         }
     }
+    sink.arena.sort_block();
 
     // Stall counting is a pure function of the slice bounds: the number of
     // indices in [lo, hi) whose window opens strictly later than their
@@ -885,6 +889,7 @@ fn run_shard(cx: &ShardCtx<'_>, index: usize, lo: usize, hi: usize) -> ShardOutp
         lo,
         hi,
         arena: sink.arena,
+        rtts: sink.rtts,
         tx,
         records_streamed: sink.records_streamed,
         captures_rejected: sink.captures_rejected,
@@ -1105,7 +1110,15 @@ pub fn run_measurement_abortable(
 
     let orders_streamed: u64 = outs.iter().map(|o| o.orders_streamed).sum();
     let rate_limiter_stalls: u64 = outs.iter().map(|o| o.rate_limiter_stalls).sum();
-    let mut arenas: Vec<RecordArena> = outs.into_iter().map(|o| o.arena).collect();
+    // Shard-index order (`outs` is joined in spawn order), deferred
+    // captures last: block-sorted arenas of a prefix-sorted hitlist
+    // concatenate into an already canonical vector.
+    let mut rtts = late.rtts;
+    let mut arenas: Vec<RecordArena> = Vec::with_capacity(outs.len() + 1);
+    for o in outs {
+        rtts.merge(&o.rtts);
+        arenas.push(o.arena);
+    }
     arenas.push(late.arena);
     let records = RecordArena::merge(arenas);
 
@@ -1117,6 +1130,7 @@ pub fn run_measurement_abortable(
         &tracer,
         RunTotals {
             records,
+            rtts,
             probes_sent,
             failed_workers,
             worker_health,
@@ -1232,6 +1246,90 @@ mod tests {
         assert_eq!(worker_wire_id(63), 63);
     }
 
+    /// The arenas [`run_measurement`] merges for `spec`, in shard order,
+    /// with the late arena left out (it is empty without crash plans).
+    fn shard_arenas(world: &Arc<World>, spec: &MeasurementSpec) -> Vec<RecordArena> {
+        let n_workers = validated_workers(world, spec).expect("valid platform");
+        let span_ms = spec.span_ms(n_workers);
+        let src_addr = platform_src_addr(spec);
+        let plans: Vec<WorkerPlan> = (0..n_workers)
+            .map(|w| WorkerPlan::of(spec, world, worker_wire_id(w), src_addr, span_ms))
+            .collect();
+        let (accepted, abort, tracer) =
+            (AtomicUsize::new(0), AbortHandle::new(), Tracer::disabled());
+        let cx = ShardCtx {
+            world,
+            spec,
+            plans: &plans,
+            src_addr,
+            ctx: MeasurementCtx {
+                id: spec.id,
+                day: spec.day,
+                span_ms,
+            },
+            tracer: &tracer,
+            abort: &abort,
+            accepted: &accepted,
+        };
+        let n = spec.targets.len();
+        let shards = spec.shards.min(n);
+        (0..shards)
+            .map(|s| {
+                let (lo, hi) = shard_bounds(n, shards, s);
+                run_shard(&cx, s, lo, hi).arena
+            })
+            .collect()
+    }
+
+    /// On a prefix-sorted hitlist every shard closes its arena as a run
+    /// of canonically sorted blocks that follow each other in order, so
+    /// the shard-order concatenation needs no sorting at seal — also when
+    /// delayed order channels misalign the senders' batch rounds.
+    #[test]
+    fn block_sorted_arenas_concatenate_sorted_for_a_prefix_sorted_hitlist() {
+        use crate::results::canonical_cmp;
+        use laces_netsim::WorldConfig;
+
+        let w = Arc::new(World::generate(WorldConfig::tiny()));
+        let mut targets: Vec<IpAddr> = w.targets[..w.n_v4]
+            .iter()
+            .filter_map(|t| match t.prefix {
+                PrefixKey::V4(p) => Some(IpAddr::V4(
+                    p.addr(laces_netsim::targets::REPRESENTATIVE_HOST),
+                )),
+                PrefixKey::V6(_) => None,
+            })
+            .take(300)
+            .collect();
+        targets.sort_by_key(|a| PrefixKey::of(*a));
+        let targets = Arc::new(targets);
+        let misaligned = crate::fault::FaultPlan::none()
+            .and_order_fault(2, 5, None)
+            .and_order_fault(9, 17, Some(60));
+        for plan in [crate::fault::FaultPlan::none(), misaligned] {
+            for shards in [1usize, 4, 16] {
+                for batch_size in [1usize, 16, 256] {
+                    let spec = MeasurementSpec::builder(77, w.std_platforms.production)
+                        .targets(Arc::clone(&targets))
+                        .faults(plan.clone())
+                        .shards(shards)
+                        .batch_size(batch_size)
+                        .build(&w)
+                        .expect("valid spec");
+                    let arenas = shard_arenas(&w, &spec);
+                    assert_eq!(arenas.len(), shards);
+                    let records = RecordArena::merge(arenas);
+                    assert!(!records.is_empty(), "workload must be non-trivial");
+                    assert!(
+                        records.is_sorted_by(|a, b| canonical_cmp(a, b).is_le()),
+                        "{plan:?} shards={shards} batch={batch_size}: \
+                         concatenation is not canonical"
+                    );
+                }
+            }
+        }
+    }
+
     /// A one-worker capture sink filtering for `measurement_id`.
     fn sink<'a>(
         measurement_id: u32,
@@ -1242,6 +1340,7 @@ mod tests {
         CaptureSink {
             measurement_id,
             arena: RecordArena::new(),
+            rtts: Histogram::new(&metrics::RTT_BUCKETS_MS),
             records_streamed: vec![0],
             captures_rejected: vec![0],
             abort_after: None,

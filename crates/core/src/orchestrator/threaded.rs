@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use crossbeam::channel;
 use laces_netsim::World;
-use laces_obs::{names, Counter, DegradedReason, RunReport};
+use laces_obs::{metrics, names, Counter, DegradedReason, Histogram, RunReport};
 use laces_packet::PrefixKey;
 use laces_trace::{Component, OrderFaultCause, TraceEvent, Tracer};
 
@@ -26,7 +26,9 @@ use super::{
 use crate::auth::{AuthKey, Sealed};
 use crate::error::MeasurementError;
 use crate::rate::window_start_ms;
-use crate::results::{MeasurementOutcome, WorkerHealth, WorkerStatus, WorkerTelemetry};
+use crate::results::{
+    MeasurementOutcome, ProbeRecord, WorkerHealth, WorkerStatus, WorkerTelemetry,
+};
 use crate::spec::MeasurementSpec;
 use crate::worker::threaded::{run_worker, ProbeBatch, WorkerEvent, WorkerFailure, WorkerOut};
 use crate::worker::{ProbeOrder, StartOrder};
@@ -328,6 +330,10 @@ pub(crate) fn run_measurement_threaded(
         }
     });
 
+    let mut rtts = Histogram::new(&metrics::RTT_BUCKETS_MS);
+    for rtt in records.iter().filter_map(ProbeRecord::rtt_ms) {
+        rtts.observe(rtt);
+    }
     Ok(finalize_outcome(
         spec,
         n_workers,
@@ -336,6 +342,7 @@ pub(crate) fn run_measurement_threaded(
         &tracer,
         RunTotals {
             records,
+            rtts,
             probes_sent,
             failed_workers,
             worker_health,

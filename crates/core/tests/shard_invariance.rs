@@ -18,9 +18,10 @@ use laces_core::classify::AnycastClassification;
 use laces_core::error::MeasurementError;
 use laces_core::fault::FaultPlan;
 use laces_core::orchestrator::run_measurement;
-use laces_core::results::MeasurementOutcome;
+use laces_core::results::{MeasurementOutcome, ProbeRecord};
 use laces_core::spec::MeasurementSpec;
 use laces_netsim::{World, WorldConfig};
+use laces_obs::{metrics, names, Histogram};
 use laces_packet::PrefixKey;
 use laces_trace::TraceConfig;
 
@@ -231,4 +232,165 @@ fn builder_rejects_zero_rate() {
         .unwrap_err();
     assert_eq!(err, MeasurementError::InvalidRate);
     assert!(err.to_string().contains("rate"));
+}
+
+// ---------------------------------------------------------------------------
+// Seal equivalence: block-sorted arenas, shard-order concatenation and the
+// backstop sort give exactly the globally sorted records, also when the
+// blocks do not line up.
+// ---------------------------------------------------------------------------
+
+/// The test's own reference order: one global sort on the full record
+/// key, independent of the library's sort.
+fn globally_sorted(records: &[ProbeRecord]) -> Vec<ProbeRecord> {
+    let mut v = records.to_vec();
+    // Start from an order the pipeline never produces.
+    v.reverse();
+    v.sort_by(|a, b| {
+        (
+            a.prefix,
+            a.tx_worker,
+            a.rx_worker,
+            a.tx_time_ms,
+            a.rx_time_ms,
+            a.protocol,
+            a.chaos_identity.as_deref(),
+        )
+            .cmp(&(
+                b.prefix,
+                b.tx_worker,
+                b.rx_worker,
+                b.tx_time_ms,
+                b.rx_time_ms,
+                b.protocol,
+                b.chaos_identity.as_deref(),
+            ))
+    });
+    v
+}
+
+/// Run `targets` under `plan` at shards {1, 4, 16} × batch sizes
+/// {1, 16, 256}; every run's records must serialise byte-identically to
+/// the globally sorted records, and every run must match the first one.
+fn assert_seal_equivalence(
+    id: u32,
+    targets: &Arc<Vec<IpAddr>>,
+    plan: impl Fn() -> FaultPlan,
+    label: &str,
+) -> MeasurementOutcome {
+    let w = world();
+    let mut first: Option<MeasurementOutcome> = None;
+    for shards in [1usize, 4, 16] {
+        for batch_size in [1usize, 16, 256] {
+            let spec = MeasurementSpec::builder(id, w.std_platforms.production)
+                .targets(Arc::clone(targets))
+                .faults(plan())
+                .shards(shards)
+                .batch_size(batch_size)
+                .build(w)
+                .expect("valid spec");
+            let outcome = run_measurement(w, &spec).expect("valid spec");
+            let cell = format!("{label} shards={shards} batch={batch_size}");
+            assert_eq!(
+                serde_json::to_string(&outcome.records).unwrap(),
+                serde_json::to_string(&globally_sorted(&outcome.records)).unwrap(),
+                "{cell}: records are not the globally sorted multiset"
+            );
+            // The RTT distribution, observed per shard at capture, must
+            // be the one of the published records, deferred captures
+            // included.
+            let mut rtts = Histogram::new(&metrics::RTT_BUCKETS_MS);
+            for rtt in outcome.records.iter().filter_map(ProbeRecord::rtt_ms) {
+                rtts.observe(rtt);
+            }
+            assert_eq!(
+                outcome.telemetry.histograms.get(names::worker::RTT_MS),
+                Some(&rtts.snapshot()),
+                "{cell}: RTT histogram is not the published records'"
+            );
+            match &first {
+                None => first = Some(outcome),
+                Some(base) => {
+                    assert_eq!(
+                        serde_json::to_string(&base.records).unwrap(),
+                        serde_json::to_string(&outcome.records).unwrap(),
+                        "{cell}: records diverge"
+                    );
+                    assert_eq!(
+                        base.telemetry.to_jsonl(),
+                        outcome.telemetry.to_jsonl(),
+                        "{cell}: serialized run report diverges"
+                    );
+                }
+            }
+        }
+    }
+    let base = first.expect("at least one cell");
+    assert!(
+        !base.records.is_empty(),
+        "{label}: workload must be non-trivial"
+    );
+    base
+}
+
+#[test]
+fn seal_is_globally_sorted_for_a_shuffled_hitlist() {
+    let w = world();
+    let mut targets = hitlist(w, 120).to_vec();
+    // Seeded Fisher–Yates: the shards' slices are no longer prefix-sorted,
+    // so neither are their blocks.
+    let mut state = 0x5EA1_u64;
+    for i in (1..targets.len()).rev() {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let j = usize::try_from((state >> 33) % (i as u64 + 1)).unwrap();
+        targets.swap(i, j);
+    }
+    let prefixes: Vec<PrefixKey> = targets.iter().map(|a| PrefixKey::of(*a)).collect();
+    assert!(
+        !prefixes.is_sorted(),
+        "the shuffled hitlist must not be prefix-sorted"
+    );
+    assert_seal_equivalence(42_101, &Arc::new(targets), FaultPlan::none, "shuffled");
+}
+
+#[test]
+fn seal_is_globally_sorted_under_misaligned_batch_rounds() {
+    let w = world();
+    let targets = hitlist(w, 120);
+    // Delayed channels shift those workers' batch boundaries off the
+    // others', so most rounds never see every sender flush; one channel
+    // also closes mid-stream.
+    let plan = || {
+        FaultPlan::with_seed(0x0DE1)
+            .and_order_fault(2, 5, None)
+            .and_order_fault(9, 17, Some(60))
+    };
+    let base = assert_seal_equivalence(42_102, &targets, plan, "order-delay");
+    assert!(
+        base.telemetry.counter("orchestrator.orders_streamed") > 0,
+        "orders must stream"
+    );
+}
+
+#[test]
+fn seal_is_globally_sorted_with_deferred_captures() {
+    let w = world();
+    let targets = hitlist(w, 120);
+    // Worker 3 crashes mid-stream and loses its buffered captures; worker
+    // 5 is scheduled to crash past the end of the stream, survives, and
+    // drains its deferred captures into the late arena at seal.
+    let plan = || {
+        FaultPlan::with_seed(0xDEFE)
+            .and_crash(3, 37)
+            .and_crash(5, 1_000_000)
+            .and_fabric(0.05, 0.03)
+    };
+    let base = assert_seal_equivalence(42_103, &targets, plan, "deferred");
+    assert_eq!(base.failed_workers, vec![3], "only worker 3 may crash");
+    assert!(
+        base.records.iter().any(|r| r.rx_worker == 5),
+        "the surviving worker's deferred captures must be published"
+    );
 }

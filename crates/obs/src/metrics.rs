@@ -81,6 +81,23 @@ impl Histogram {
         self.sum += value;
     }
 
+    /// Add another histogram's observations to this one. Counts and sums
+    /// are additive, so merging per-thread histograms gives the snapshot
+    /// of one histogram that observed the union of their values.
+    ///
+    /// # Panics
+    ///
+    /// When the bucket bounds differ (a programming error: the merged
+    /// buckets would be meaningless).
+    pub fn merge(&mut self, other: &Histogram) {
+        assert_eq!(self.bounds, other.bounds, "merging unlike histograms");
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+    }
+
     /// Freeze into the serializable snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -169,6 +186,31 @@ mod tests {
             b.observe(*v);
         }
         assert_eq!(a.snapshot(), b.snapshot());
+    }
+
+    #[test]
+    fn merged_histograms_equal_one_histogram_over_the_union() {
+        let (left, right) = ([3u64, 77, 9, 1000], [200u64, 41, 5, 5000]);
+        let mut whole = Histogram::new(&RTT_BUCKETS_MS);
+        let mut a = Histogram::new(&RTT_BUCKETS_MS);
+        let mut b = Histogram::new(&RTT_BUCKETS_MS);
+        for v in left {
+            whole.observe(v);
+            a.observe(v);
+        }
+        for v in right {
+            whole.observe(v);
+            b.observe(v);
+        }
+        a.merge(&b);
+        a.merge(&Histogram::new(&RTT_BUCKETS_MS));
+        assert_eq!(a.snapshot(), whole.snapshot());
+    }
+
+    #[test]
+    #[should_panic(expected = "unlike histograms")]
+    fn merging_unlike_histograms_panics() {
+        Histogram::new(&[1, 2]).merge(&Histogram::new(&[1, 3]));
     }
 
     #[test]
